@@ -3,7 +3,8 @@
 // coordinator (experiments -fig dist, or any transport.Cluster user) ships
 // each worker its rank's graph shard over the control connection; the
 // workers form the job's TCP mesh among themselves and run the same
-// sampling kernels the mpisim backend drives, bit for bit.
+// sampling kernels on the same rank engine as the in-process backend, bit
+// for bit.
 //
 // Usage:
 //

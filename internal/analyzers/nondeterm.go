@@ -113,7 +113,7 @@ func checkSelect(pass *analysis.Pass, rep *reporter, sel *ast.SelectStmt) {
 		}
 	}
 	if racy >= 2 {
-		rep.reportNode(sel, "select among %d ready channels resolves nondeterministically: kernel event order must be explicit (deliver by deterministic stamp, as mpisim.AnyRecv does)", racy)
+		rep.reportNode(sel, "select among %d ready channels resolves nondeterministically: kernel event order must be explicit (deliver by deterministic stamp, as comm.Rank.AnyRecv does)", racy)
 	}
 }
 

@@ -22,7 +22,7 @@ type Result struct {
 	// reverse is a perfect elimination ordering of the subgraph.
 	VisitOrder []int32
 	// Ops counts elementary candidate-set operations performed; used by the
-	// scalability cost model (internal/mpisim).
+	// scalability cost model (comm.CostModel).
 	Ops int64
 }
 

@@ -1,18 +1,23 @@
-// Package comm defines the rank-side communication surface the parallel
-// samplers run against: a Comm of P ranks, each driven through a Rank
-// handle offering nonblocking point-to-point sends, deterministic receives
-// (AnyRecv delivers by modeled arrival stamp, sender rank breaking ties),
-// the four collectives the kernels use (Barrier, Bcast, Gatherv,
-// Allreduce), abort propagation, and byte/message accounting.
+// Package comm is the rank engine the parallel samplers run against. A
+// Comm hosts P ranks; each is driven through the one concrete *Rank type
+// defined here, which offers nonblocking point-to-point sends,
+// deterministic receives (AnyRecv delivers by modeled arrival stamp, the
+// lower sender rank breaking ties), the four collectives the kernels use
+// (Barrier, Bcast, Gatherv, Allreduce), abort unwinding, and
+// byte/message accounting.
 //
-// Two implementations exist: internal/mpisim simulates all P ranks as
-// goroutines in one process under virtual clocks (the Figure-10 model),
-// and internal/transport runs each rank as a real process connected over
-// TCP. Both advance the same virtual clocks through the shared CostModel
-// helpers in this package and apply the same AnyRecv delivery rule, so a
-// sampler executed on either backend produces byte-identical edge sets,
-// identical per-rank clocks, and identical traffic counters — the
-// determinism contract the differential tests in internal/transport pin.
+// The engine owns everything that decides what a run computes: the
+// per-source inbox queues and the AnyRecv rule, the operation counter and
+// the virtual clock (advanced only through the CostModel *Advance
+// helpers), and the traffic counters. A backend supplies only a Link —
+// how a posted message reaches its destination rank and how one
+// collective generation is exchanged — and feeds inbound messages back
+// through Rank.Deliver. Two backends exist: internal/mpisim links all P
+// ranks in one process (the Figure-10 simulation), and internal/transport
+// links one local rank to the rest over TCP. Because both run this same
+// engine, a sampler produces byte-identical edge sets, identical per-rank
+// clocks and identical traffic counters on either — the determinism
+// contract the differential tests in internal/transport pin.
 package comm
 
 import "context"
@@ -38,65 +43,43 @@ const (
 	ReduceMin
 )
 
+// Collective operations, as passed to Link.Exchange. The values are part
+// of the TCP wire format (the op byte of a collective deposit).
+const (
+	OpBarrier = iota
+	OpBcast
+	OpGatherv
+	OpAllreduce
+)
+
 // AbortSignal is the sentinel a rank goroutine unwinds with when its run is
-// aborted. Comm implementations panic with it from blocking primitives
-// (and from Rank.Abort) and recover it — and only it — inside Comm.Run.
+// aborted. The engine panics with it from blocking primitives (and from
+// Rank.Abort); Rank.Run recovers it, and only it.
 type AbortSignal struct{}
 
-// Rank is one processor's handle inside Comm.Run. All methods must be
-// called only from the goroutine the handle was passed to (SPMD
-// discipline: the same kernel closure runs on every rank).
-type Rank interface {
-	// ID returns this rank's index in [0, P).
-	ID() int
-	// P returns the communicator size.
-	P() int
-	// Ops returns the operations charged so far via Compute.
-	Ops() int64
-	// Clock returns the rank's virtual time in modeled seconds.
-	Clock() float64
-	// Compute charges n elementary operations of local work, advancing the
-	// virtual clock by n·SecondsPerOp.
-	Compute(n int64)
+// Snapshot is one completed collective generation: every rank's deposit
+// clock and size, and the deposited values the calling rank's op needs
+// (root's value for Bcast, every value for Allreduce and at the Gatherv
+// root; the caller's own value is always present).
+type Snapshot struct {
+	Clocks []float64
+	Sizes  []int
+	Vals   []any
+}
 
-	// Send posts a message to rank `to`. It never blocks (per-pair queues
-	// are unbounded), so no send/receive ordering can deadlock a run. The
-	// sender's clock pays the per-message overhead; the message is stamped
-	// with its modeled arrival time (send time + latency + bytes/bandwidth).
-	Send(to, tag int, payload any, size int)
-	// Recv blocks until a message from rank `from` is pending and returns
-	// the oldest one, advancing the receiver's clock to the message's
-	// arrival (if not already past it) plus the per-message overhead.
-	Recv(from int) Message
-	// AnyRecv receives from any of the given sources: it returns the
-	// pending message with the smallest modeled arrival time (sender rank
-	// breaks ties). To keep delivery deterministic it waits until every
-	// listed source has at least one pending message — only then is the
-	// earliest virtual arrival decidable. Callers drop a source from the
-	// set once its end-of-stream message arrives.
-	AnyRecv(sources []int) Message
-	// Sendrecv posts the send (never blocking) and then receives from
-	// `from` — the classic deadlock-safe exchange primitive.
-	Sendrecv(to, tag int, payload any, size int, from int) Message
-
-	// Barrier blocks until all P ranks have called it.
-	Barrier()
-	// Bcast broadcasts root's payload to every rank (each caller passes
-	// its own payload; only root's is delivered) and returns it.
-	Bcast(root int, payload any, size int) any
-	// Gatherv gathers every rank's (variable-size) payload to root. At
-	// root the returned slice holds rank i's payload at index i; every
-	// other rank gets nil.
-	Gatherv(root int, payload any, size int) []any
-	// Allreduce combines every rank's contribution with op and returns the
-	// result on all ranks (folded in rank order, so bitwise identical
-	// everywhere).
-	Allreduce(v float64, op ReduceOp) float64
-
-	// Abort unwinds the calling rank goroutine with AbortSignal; Comm.Run
-	// recovers it. Rank compute loops call this when they observe a
-	// cancelled context.
-	Abort()
+// Link is a backend's transport for one rank. The engine calls it only
+// from the rank's goroutine.
+type Link interface {
+	// Post hands m to rank `to` without blocking; the backend must make it
+	// reach that rank's Deliver in per-source FIFO order. An error (the
+	// backend has already recorded it as the run's failure) unwinds the
+	// rank.
+	Post(to int, m Message) error
+	// Exchange deposits (val, size, clock) for one collective generation
+	// and blocks until every rank of the communicator has deposited. All
+	// ranks call it in the same sequence (SPMD), so op and root match. An
+	// error — an aborted run or a transport failure — unwinds the rank.
+	Exchange(op, root int, val any, size int, clock float64) (Snapshot, error)
 }
 
 // Comm is a communicator over P ranks. A simulated communicator hosts all
@@ -111,7 +94,7 @@ type Comm interface {
 	// finished or unwound; the error reports transport or abort causes
 	// (simulated runs return nil and leave cancellation to the caller's
 	// context check).
-	Run(fn func(r Rank)) error
+	Run(fn func(r *Rank)) error
 	// Abort marks the run as aborted and wakes every local rank blocked in
 	// a receive or collective. Safe to call from any goroutine, repeatedly.
 	Abort()

@@ -13,12 +13,11 @@ import (
 // latency (LatencySeconds), inverse bandwidth (SecondsPerByte), plus a
 // per-operation compute cost (SecondsPerOp).
 //
-// The *Advance methods are the single source of the clock arithmetic: both
-// the simulated runtime (internal/mpisim) and the TCP runtime
-// (internal/transport) advance their virtual clocks through them, so the
-// two backends cannot drift — identical inputs give bit-identical clocks,
-// which is what makes the modeled-arrival AnyRecv rule deliver in the same
-// order on both.
+// The *Advance methods are the single source of the clock arithmetic; the
+// Rank engine advances its virtual clock only through them, on either
+// backend, so identical inputs give bit-identical clocks — which is what
+// makes the modeled-arrival AnyRecv rule deliver in the same order on
+// both.
 type CostModel struct {
 	SecondsPerOp    float64 // per elementary graph operation
 	LatencySeconds  float64 // wire latency per point-to-point message
@@ -201,6 +200,26 @@ type RunStats struct {
 	// Measured is true when the run executed on a real transport (wall
 	// fields are a measurement, not scheduler noise from a simulation).
 	Measured bool
+}
+
+// ResetRanks sizes the per-rank vectors for p ranks and clears the traffic
+// totals, ready for AddRank.
+func (s *RunStats) ResetRanks(p int) {
+	s.P = p
+	s.RankOps = make([]int64, p)
+	s.RankSeconds = make([]float64, p)
+	s.RankWallSeconds = make([]float64, p)
+	s.Messages, s.Bytes, s.CollMessages, s.CollBytes = 0, 0, 0, 0
+}
+
+// AddRank books rank id's accounting: its operation count, virtual clock
+// and wall clock, and its traffic added to the totals.
+func (s *RunStats) AddRank(id int, ops int64, clock, wall float64, t Traffic) {
+	s.RankOps[id], s.RankSeconds[id], s.RankWallSeconds[id] = ops, clock, wall
+	s.Messages += t.Messages
+	s.Bytes += t.Bytes
+	s.CollMessages += t.CollMessages
+	s.CollBytes += t.CollBytes
 }
 
 // MaxRankOps returns the bottleneck rank's operation count.

@@ -35,7 +35,7 @@ func TestMain(m *testing.M) {
 
 func TestSendRecv(t *testing.T) {
 	c := NewComm(2)
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 7, "hello", 5)
 		} else {
@@ -57,7 +57,7 @@ func TestUnboundedQueues(t *testing.T) {
 	const n = 10000
 	c := NewComm(2)
 	received := 0
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		if r.ID() == 0 {
 			for i := 0; i < n; i++ {
 				r.Send(1, 0, i, 4)
@@ -84,7 +84,7 @@ func TestSendrecvFullExchange(t *testing.T) {
 	const p = 8
 	c := NewComm(p)
 	var sum atomic.Int64
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		for d := 1; d < p; d++ {
 			to := (r.ID() + d) % p
 			from := (r.ID() - d + p) % p
@@ -104,7 +104,7 @@ func TestAnyRecvVirtualArrivalOrder(t *testing.T) {
 	// regardless of real scheduling.
 	c := NewComm(3)
 	var order []int
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		switch r.ID() {
 		case 0:
 			r.Compute(1_000_000)
@@ -134,7 +134,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	const p = 8
 	c := NewComm(p)
 	var before, after atomic.Int32
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		before.Add(1)
 		r.Barrier()
 		if got := before.Load(); got != p {
@@ -151,7 +151,7 @@ func TestBarrierReusable(t *testing.T) {
 	const p = 4
 	c := NewComm(p)
 	var phase atomic.Int32
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		for i := 0; i < 10; i++ {
 			r.Barrier()
 			phase.Add(1)
@@ -167,7 +167,7 @@ func TestManyToOneAnyRecv(t *testing.T) {
 	const p = 6
 	c := NewComm(p)
 	var sum atomic.Int64
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		if r.ID() == 0 {
 			sources := []int{1, 2, 3, 4, 5}
 			for len(sources) > 0 {
@@ -196,7 +196,7 @@ func TestGathervReassembly(t *testing.T) {
 	const p = 7
 	c := NewComm(p)
 	var rootGot [][]int
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		// Variable-size payload: rank i contributes i+1 ints.
 		mine := make([]int, r.ID()+1)
 		for j := range mine {
@@ -236,7 +236,7 @@ func TestBcast(t *testing.T) {
 	const p = 5
 	c := NewComm(p)
 	var got [p]string
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		payload := fmt.Sprintf("from-%d", r.ID())
 		got[r.ID()] = r.Bcast(2, payload, len(payload)).(string)
 	})
@@ -254,11 +254,11 @@ func TestAllreduce(t *testing.T) {
 	const p = 9
 	c := NewComm(p)
 	var sums, maxs, mins [p]float64
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		v := float64(r.ID() + 1)
-		sums[r.ID()] = r.Allreduce(v, ReduceSum)
-		maxs[r.ID()] = r.Allreduce(v, ReduceMax)
-		mins[r.ID()] = r.Allreduce(v, ReduceMin)
+		sums[r.ID()] = r.Allreduce(v, comm.ReduceSum)
+		maxs[r.ID()] = r.Allreduce(v, comm.ReduceMax)
+		mins[r.ID()] = r.Allreduce(v, comm.ReduceMin)
 	})
 	for i := 0; i < p; i++ {
 		if sums[i] != 45 {
@@ -280,8 +280,8 @@ func TestAllreduceDeterministicFold(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		c := NewComm(p)
 		var got [p]float64
-		c.Run(func(r comm.Rank) {
-			got[r.ID()] = r.Allreduce(vals[r.ID()], ReduceSum)
+		c.Run(func(r *comm.Rank) {
+			got[r.ID()] = r.Allreduce(vals[r.ID()], comm.ReduceSum)
 		})
 		for i := 1; i < p; i++ {
 			if got[i] != got[0] {
@@ -297,10 +297,10 @@ func TestAllreduceDeterministicFold(t *testing.T) {
 }
 
 func TestVirtualClockPointToPoint(t *testing.T) {
-	m := CostModel{SecondsPerOp: 1e-6, LatencySeconds: 1e-3, OverheadSeconds: 1e-4, SecondsPerByte: 1e-7}
+	m := comm.CostModel{SecondsPerOp: 1e-6, LatencySeconds: 1e-3, OverheadSeconds: 1e-4, SecondsPerByte: 1e-7}
 	c := NewCommModel(2, m)
-	var stats RunStats
-	c.Run(func(r comm.Rank) {
+	var stats comm.RunStats
+	c.Run(func(r *comm.Rank) {
 		if r.ID() == 0 {
 			r.Compute(1000) // 1 ms
 			r.Send(1, 0, "x", 100)
@@ -329,10 +329,10 @@ func TestVirtualClockOverlap(t *testing.T) {
 	// A receiver that is already past a message's arrival time pays only the
 	// receive overhead — waited-on communication, not all communication,
 	// lands on the critical path.
-	m := CostModel{SecondsPerOp: 1e-6, LatencySeconds: 1e-3, OverheadSeconds: 0}
+	m := comm.CostModel{SecondsPerOp: 1e-6, LatencySeconds: 1e-3, OverheadSeconds: 0}
 	c := NewCommModel(2, m)
-	var stats RunStats
-	c.Run(func(r comm.Rank) {
+	var stats comm.RunStats
+	c.Run(func(r *comm.Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 0, "early", 0)
 		} else {
@@ -349,7 +349,7 @@ func TestVirtualClockOverlap(t *testing.T) {
 func TestRunClockDeterminism(t *testing.T) {
 	run := func() []float64 {
 		c := NewComm(4)
-		c.Run(func(r comm.Rank) {
+		c.Run(func(r *comm.Rank) {
 			r.Compute(int64(100 * (r.ID() + 1)))
 			if r.ID() > 0 {
 				r.Send(0, 0, r.ID(), 8)
@@ -368,7 +368,7 @@ func TestRunClockDeterminism(t *testing.T) {
 			}
 			r.Barrier()
 		})
-		var s RunStats
+		var s comm.RunStats
 		c.FillStats(&s)
 		return s.RankSeconds
 	}
@@ -394,7 +394,7 @@ func TestNewCommPanicsOnBadP(t *testing.T) {
 
 func TestSendToSelfPanics(t *testing.T) {
 	c := NewComm(2)
-	c.Run(func(r comm.Rank) {
+	c.Run(func(r *comm.Rank) {
 		if r.ID() != 0 {
 			return
 		}
@@ -408,8 +408,8 @@ func TestSendToSelfPanics(t *testing.T) {
 }
 
 func TestCostModelMonotonic(t *testing.T) {
-	m := DefaultCostModel()
-	base := RunStats{P: 4, RankOps: []int64{100, 200, 150, 120}, Messages: 10, Bytes: 1000, SerialOps: 50}
+	m := comm.DefaultCostModel()
+	base := comm.RunStats{P: 4, RankOps: []int64{100, 200, 150, 120}, Messages: 10, Bytes: 1000, SerialOps: 50}
 	t0 := m.Time(&base)
 	if t0 <= 0 {
 		t.Fatal("time must be positive")
@@ -434,14 +434,14 @@ func TestCostModelMonotonic(t *testing.T) {
 }
 
 func TestRunStatsAggregates(t *testing.T) {
-	s := RunStats{RankOps: []int64{3, 9, 1}}
+	s := comm.RunStats{RankOps: []int64{3, 9, 1}}
 	if s.MaxRankOps() != 9 {
 		t.Fatalf("max = %d", s.MaxRankOps())
 	}
 	if s.TotalOps() != 13 {
 		t.Fatalf("total = %d", s.TotalOps())
 	}
-	empty := RunStats{}
+	empty := comm.RunStats{}
 	if empty.MaxRankOps() != 0 || empty.TotalOps() != 0 || empty.CriticalPath() != 0 {
 		t.Fatal("empty stats should be zero")
 	}

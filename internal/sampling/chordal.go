@@ -54,7 +54,7 @@ func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 	parts := make([]rankResult, p)
 	cm := newComm(opts, p)
 	defer cm.AbortOnCancel(ctx)()
-	runErr := cm.Run(func(r comm.Rank) {
+	runErr := cm.Run(func(r *comm.Rank) {
 		rank := r.ID()
 		block := pt.Parts[rank]
 		local := graph.NewAccumulator(g.N(), 0)
@@ -172,7 +172,7 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 		pairEdges[lo][hi] = append(pairEdges[lo][hi], graph.Edge{U: u, V: v})
 	})
 
-	runErr := cm.Run(func(r comm.Rank) {
+	runErr := cm.Run(func(r *comm.Rank) {
 		rank := r.ID()
 		block := pt.Parts[rank]
 		local := graph.NewAccumulator(g.N(), 0)

@@ -111,7 +111,7 @@ func forestFireParallel(ctx context.Context, g *graph.Graph, opts Options) (*Res
 	parts := make([]rankResult, p)
 	cm := newComm(opts, p)
 	defer cm.AbortOnCancel(ctx)()
-	runErr := cm.Run(func(r comm.Rank) {
+	runErr := cm.Run(func(r *comm.Rank) {
 		rank := r.ID()
 		rng := rand.New(rand.NewSource(opts.Seed + int64(rank)*104729))
 		block := pt.Parts[rank]

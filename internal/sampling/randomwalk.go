@@ -89,7 +89,7 @@ func randomWalkParallel(ctx context.Context, g *graph.Graph, opts Options) (*Res
 	parts := make([]rankResult, p)
 	cm := newComm(opts, p)
 	defer cm.AbortOnCancel(ctx)()
-	runErr := cm.Run(func(r comm.Rank) {
+	runErr := cm.Run(func(r *comm.Rank) {
 		rank := r.ID()
 		rng := rand.New(rand.NewSource(opts.Seed + int64(rank)*7919))
 		block := pt.Parts[rank]

@@ -10,7 +10,7 @@
 //
 // All parallel variants partition the vertex processing order into P
 // contiguous blocks (one per simulated processor) and report per-rank
-// operation counts plus communication volume, which internal/mpisim turns
+// operation counts plus communication volume, which comm.CostModel turns
 // into modeled cluster execution times for the scalability study (Fig. 10).
 package sampling
 
@@ -91,10 +91,10 @@ type Options struct {
 	// Seed drives the random-walk filters.
 	Seed int64
 	// Model is the cost model driving the simulated runtime's virtual
-	// clocks (nil selects mpisim.DefaultCostModel). The resulting
+	// clocks (nil selects comm.DefaultCostModel). The resulting
 	// Stats.RankSeconds are in this model's units, so pass the same model
 	// to CostModel.Time.
-	Model *mpisim.CostModel
+	Model *comm.CostModel
 	// Comm overrides the communicator a parallel run executes on (nil
 	// builds a fresh mpisim simulation over P ranks). internal/transport
 	// passes its TCP communicator here so the same kernel closures run as
@@ -112,7 +112,7 @@ func newComm(opts Options, p int) comm.Comm {
 		}
 		return opts.Comm
 	}
-	model := mpisim.DefaultCostModel()
+	model := comm.DefaultCostModel()
 	if opts.Model != nil {
 		model = *opts.Model
 	}
@@ -129,9 +129,9 @@ type Result struct {
 	// merges use a dense bitset matrix on small vertex universes and a hash
 	// set on large ones (graph.NewAccumulator).
 	Edges graph.EdgeView
-	// Stats feeds the mpisim cost model (per-rank ops, message/byte counts,
+	// Stats feeds the comm cost model (per-rank ops, message/byte counts,
 	// serial post-processing ops).
-	Stats mpisim.RunStats
+	Stats comm.RunStats
 	// DuplicateBorderEdges counts border edges independently admitted by
 	// more than one processor (removed during the sequential merge, as in
 	// the paper).
@@ -189,7 +189,7 @@ func RunContext(ctx context.Context, alg Algorithm, g *graph.Graph, opts Options
 // cancelled; Comm.Run recovers the unwind and the sampler returns ctx.Err().
 // Rank compute loops call this at coarse strides so a cancelled parallel
 // run terminates promptly even when no rank is blocked in the runtime.
-func abortIfCancelled(ctx context.Context, r comm.Rank) {
+func abortIfCancelled(ctx context.Context, r *comm.Rank) {
 	if ctx.Err() != nil {
 		r.Abort()
 	}
@@ -210,7 +210,7 @@ func (pr rankResult) payloadBytes() int { return 8 * pr.edges.Len() }
 // gatherParts ends a rank's run: it gathers every rank's partial result to
 // rank 0 through the runtime (charging the collective's modeled cost) and,
 // on rank 0, scatters the payloads into parts for the sequential merge.
-func gatherParts(r comm.Rank, mine rankResult, parts []rankResult) {
+func gatherParts(r *comm.Rank, mine rankResult, parts []rankResult) {
 	gathered := r.Gatherv(0, mine, mine.payloadBytes())
 	if r.ID() != 0 {
 		return

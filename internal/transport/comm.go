@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parsample/internal/comm"
@@ -21,22 +20,13 @@ var errAborted = errors.New("transport: run aborted")
 
 // Default timeouts. Handshakes and teardown waits are bounded so a dead
 // peer fails the run instead of wedging it; in-run receives are unbounded
-// like mpisim's (cancellation arrives via ctx-driven abort or a peer
+// as in-process (cancellation arrives via ctx-driven abort or a peer
 // failure, either of which wakes every blocked primitive).
 const (
 	dialTimeout  = 10 * time.Second
 	helloTimeout = 10 * time.Second
 	writeTimeout = 30 * time.Second
 	drainTimeout = 30 * time.Second
-)
-
-// collective op codes carried in fColl frames; a mismatch between the
-// ranks of one generation is a protocol error, not a hang.
-const (
-	opBarrier byte = iota
-	opBcast
-	opGatherv
-	opAllreduce
 )
 
 // meshConfig describes one rank's seat in a job's mesh.
@@ -50,21 +40,25 @@ type meshConfig struct {
 
 // Comm is the TCP communicator for one job: it hosts exactly one local
 // rank (self) and reaches the other P-1 over per-peer connections. It
-// implements comm.Comm; sampling kernels run on it unchanged.
+// implements comm.Comm, and comm.Link for its rank's engine; sampling
+// kernels run on it unchanged.
 type Comm struct {
 	cfg  meshConfig
-	rank *Rank
+	rank *comm.Rank
 
 	peers []*peer // peers[r], nil at self
 	wg    sync.WaitGroup
 
+	// Send-side state, touched only by the rank goroutine.
+	seqOut []int64 // next fData sequence number, by destination
+	gen    uint64  // collective generation counter (lockstep across ranks)
+
 	mu   sync.Mutex
 	cond *sync.Cond
 	// Receive-side state, all guarded by mu.
-	q           [][]comm.Message // pending point-to-point messages, by source
-	seqIn       []int64          // next expected fData sequence, by source
-	collDeposit []*collDeposit   // rank 0: one pending deposit slot per source
-	collResp    *collSnapshot    // non-zero ranks: rank 0's snapshot for the open generation
+	seqIn       []int64        // next expected fData sequence, by source
+	collDeposit []*collDeposit // rank 0: one pending deposit slot per source
+	collResp    *comm.Snapshot // non-zero ranks: rank 0's snapshot for the open generation
 	collRespGen uint64
 	statsIn     []*remoteStats // rank 0: end-of-run accounting per source
 	statsAcked  bool           // non-zero ranks: rank 0 confirmed our stats
@@ -73,8 +67,8 @@ type Comm struct {
 	done        bool  // run complete; subsequent teardown EOFs are benign
 	failErr     error // first transport failure or abort cause
 
-	msgs, bytes, collMsgs, collBytes atomic.Int64
-	wall                             float64
+	rankWall float64 // measured wall seconds the rank spent in its kernel
+	wall     float64 // measured wall seconds of the whole Run
 }
 
 var _ comm.Comm = (*Comm)(nil)
@@ -90,21 +84,29 @@ type collDeposit struct {
 	val   any
 }
 
-// collSnapshot is the assembled generation every rank advances its clock
-// from: the deposit clock and size vectors, plus the payload values the
-// receiving rank needs for its op (root's value for Bcast, all values for
-// Gatherv-at-root and Allreduce).
-type collSnapshot struct {
-	clocks []float64
-	sizes  []int
-	vals   []any
-}
-
 // remoteStats is one remote rank's end-of-run accounting.
 type remoteStats struct {
-	ops                              int64
-	clock, wall                      float64
-	msgs, bytes, collMsgs, collBytes int64
+	ops         int64
+	clock, wall float64
+	traffic     comm.Traffic
+}
+
+// newSeat builds one rank's seat in a job before any connection exists:
+// the local rank's engine linked to this Comm, and the receive-side state.
+func newSeat(cfg meshConfig) *Comm {
+	c := &Comm{
+		cfg:    cfg,
+		peers:  make([]*peer, cfg.p),
+		seqOut: make([]int64, cfg.p),
+		seqIn:  make([]int64, cfg.p),
+	}
+	c.cond = sync.NewCond(&c.mu)
+	c.rank = comm.NewRank(cfg.self, cfg.p, cfg.model, c)
+	if cfg.self == 0 {
+		c.collDeposit = make([]*collDeposit, cfg.p)
+		c.statsIn = make([]*remoteStats, cfg.p)
+	}
+	return c
 }
 
 // newComm forms the mesh for one rank: it dials every lower rank and
@@ -112,19 +114,7 @@ type remoteStats struct {
 // routes data connections to. On any failure the partially-formed mesh is
 // torn down and an error returned.
 func newComm(cfg meshConfig, intake *meshIntake) (*Comm, error) {
-	c := &Comm{
-		cfg:   cfg,
-		peers: make([]*peer, cfg.p),
-		q:     make([][]comm.Message, cfg.p),
-		seqIn: make([]int64, cfg.p),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	c.rank = &Rank{c: c, id: cfg.self, seqOut: make([]int64, cfg.p)}
-	if cfg.self == 0 {
-		c.collDeposit = make([]*collDeposit, cfg.p)
-		c.statsIn = make([]*remoteStats, cfg.p)
-	}
-
+	c := newSeat(cfg)
 	fail := func(err error) (*Comm, error) {
 		c.markDone()
 		c.Close()
@@ -205,36 +195,27 @@ func dialPeer(addr string, jobID uint64, fromRank int) (net.Conn, *bufio.Reader,
 func (c *Comm) P() int { return c.cfg.p }
 
 // Messages returns the point-to-point messages sent by the local rank.
-func (c *Comm) Messages() int64 { return c.msgs.Load() }
+func (c *Comm) Messages() int64 { return c.rank.Traffic().Messages }
 
 // Bytes returns the point-to-point payload bytes sent by the local rank.
-func (c *Comm) Bytes() int64 { return c.bytes.Load() }
+func (c *Comm) Bytes() int64 { return c.rank.Traffic().Bytes }
 
 // CollMessages returns the modeled collective messages booked locally.
-func (c *Comm) CollMessages() int64 { return c.collMsgs.Load() }
+func (c *Comm) CollMessages() int64 { return c.rank.Traffic().CollMessages }
 
 // CollBytes returns the modeled collective bytes booked locally.
-func (c *Comm) CollBytes() int64 { return c.collBytes.Load() }
+func (c *Comm) CollBytes() int64 { return c.rank.Traffic().CollBytes }
 
 // Run executes fn on the local rank. It returns once fn has finished or
 // unwound and — on a clean run — the end-of-run stats exchange completed,
 // so rank 0's FillStats sees every remote rank's accounting. The error is
 // the first transport failure or abort cause; a clean run returns nil.
-func (c *Comm) Run(fn func(r comm.Rank)) error {
+func (c *Comm) Run(fn func(r *comm.Rank)) error {
 	start := time.Now()
-	func() {
-		defer func() {
-			if e := recover(); e != nil {
-				if _, ok := e.(comm.AbortSignal); ok {
-					c.fail(errAborted)
-					return
-				}
-				panic(e)
-			}
-		}()
-		fn(c.rank)
-	}()
-	c.rank.wall = time.Since(start).Seconds()
+	if c.rank.Run(fn) {
+		c.fail(errAborted)
+	}
+	c.rankWall = time.Since(start).Seconds()
 	if c.runErr() == nil {
 		if err := c.statsPhase(); err != nil {
 			c.fail(err)
@@ -260,15 +241,16 @@ func (c *Comm) statsPhase() error {
 	}
 	deadline := time.Now().Add(drainTimeout)
 	if c.cfg.self != 0 {
+		t := c.rank.Traffic()
 		var e wenc
 		e.u32(uint32(c.cfg.self))
-		e.i64(c.rank.ops)
-		e.f64(c.rank.clock)
-		e.f64(c.rank.wall)
-		e.i64(c.msgs.Load())
-		e.i64(c.bytes.Load())
-		e.i64(c.collMsgs.Load())
-		e.i64(c.collBytes.Load())
+		e.i64(c.rank.Ops())
+		e.f64(c.rank.Clock())
+		e.f64(c.rankWall)
+		e.i64(t.Messages)
+		e.i64(t.Bytes)
+		e.i64(t.CollMessages)
+		e.i64(t.CollBytes)
 		// Flag the teardown before the stats frame can reach rank 0: once
 		// it does, any peer may receive its ack and hang up, and that EOF
 		// must already read as benign here.
@@ -345,18 +327,10 @@ func (c *Comm) Abort() { c.fail(errAborted) }
 // AbortOnCancel aborts the communicator when ctx is cancelled; the
 // returned stop function releases the watcher.
 func (c *Comm) AbortOnCancel(ctx context.Context) (stop func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
-	}
-	stopped := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.fail(fmt.Errorf("transport: run cancelled: %w", context.Cause(ctx)))
-		case <-stopped:
-		}
-	}()
-	return func() { close(stopped) }
+	release := context.AfterFunc(ctx, func() {
+		c.fail(fmt.Errorf("transport: run cancelled: %w", context.Cause(ctx)))
+	})
+	return func() { release() }
 }
 
 // fail records the first failure, aborts the run, fans the abort out to
@@ -372,6 +346,7 @@ func (c *Comm) fail(err error) {
 	c.failErr = err
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	c.rank.Interrupt()
 	var e wenc
 	e.str(err.Error())
 	for _, p := range c.peers {
@@ -423,31 +398,11 @@ func (c *Comm) Close() {
 func (c *Comm) FillStats(s *comm.RunStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := c.cfg.p
-	s.P = p
-	s.RankOps = make([]int64, p)
-	s.RankSeconds = make([]float64, p)
-	s.RankWallSeconds = make([]float64, p)
-	s.RankOps[c.cfg.self] = c.rank.ops
-	s.RankSeconds[c.cfg.self] = c.rank.clock
-	s.RankWallSeconds[c.cfg.self] = c.rank.wall
-	s.Messages = c.msgs.Load()
-	s.Bytes = c.bytes.Load()
-	s.CollMessages = c.collMsgs.Load()
-	s.CollBytes = c.collBytes.Load()
-	if c.cfg.self == 0 {
-		for r := 1; r < p; r++ {
-			st := c.statsIn[r]
-			if st == nil {
-				continue
-			}
-			s.RankOps[r] = st.ops
-			s.RankSeconds[r] = st.clock
-			s.RankWallSeconds[r] = st.wall
-			s.Messages += st.msgs
-			s.Bytes += st.bytes
-			s.CollMessages += st.collMsgs
-			s.CollBytes += st.collBytes
+	s.ResetRanks(c.cfg.p)
+	s.AddRank(c.cfg.self, c.rank.Ops(), c.rank.Clock(), c.rankWall, c.rank.Traffic())
+	for r, st := range c.statsIn { // rank 0 only
+		if st != nil {
+			s.AddRank(r, st.ops, st.clock, st.wall, st.traffic)
 		}
 	}
 	s.WallSeconds = c.wall
@@ -534,9 +489,8 @@ func (c *Comm) dispatch(p *peer, typ byte, body []byte) error {
 			return fmt.Errorf("transport: rank %d message sequence %d, want %d", from, seq, want)
 		}
 		c.seqIn[from]++
-		c.q[from] = append(c.q[from], comm.Message{From: from, Tag: tag, Payload: val, Bytes: size, Arrive: arrive})
-		c.cond.Broadcast()
 		c.mu.Unlock()
+		c.rank.Deliver(comm.Message{From: from, Tag: tag, Payload: val, Bytes: size, Arrive: arrive})
 		return nil
 
 	case fColl:
@@ -590,11 +544,15 @@ func (c *Comm) dispatch(p *peer, typ byte, body []byte) error {
 		if err := d.finish(); err != nil {
 			return fmt.Errorf("transport: bad collective response: %w", err)
 		}
+		if len(clocks) != c.cfg.p || len(sizes) != c.cfg.p {
+			return fmt.Errorf("transport: collective response carries %d clocks and %d sizes for %d ranks: %w",
+				len(clocks), len(sizes), c.cfg.p, ErrCorrupt)
+		}
 		if p.rank != 0 || c.cfg.self == 0 {
 			return fmt.Errorf("transport: unexpected collective response from rank %d", p.rank)
 		}
 		c.mu.Lock()
-		c.collResp = &collSnapshot{clocks: clocks, sizes: sizes, vals: vals}
+		c.collResp = &comm.Snapshot{Clocks: clocks, Sizes: sizes, Vals: vals}
 		c.collRespGen = gen
 		c.cond.Broadcast()
 		c.mu.Unlock()
@@ -602,15 +560,8 @@ func (c *Comm) dispatch(p *peer, typ byte, body []byte) error {
 
 	case fStats:
 		from := int(d.u32())
-		st := &remoteStats{
-			ops:   d.i64(),
-			clock: d.f64(),
-			wall:  d.f64(),
-		}
-		st.msgs = d.i64()
-		st.bytes = d.i64()
-		st.collMsgs = d.i64()
-		st.collBytes = d.i64()
+		st := &remoteStats{ops: d.i64(), clock: d.f64(), wall: d.f64()}
+		st.traffic = comm.Traffic{Messages: d.i64(), Bytes: d.i64(), CollMessages: d.i64(), CollBytes: d.i64()}
 		if err := d.finish(); err != nil {
 			return fmt.Errorf("transport: bad stats frame from rank %d: %w", p.rank, err)
 		}
@@ -649,18 +600,19 @@ func (c *Comm) dispatch(p *peer, typ byte, body []byte) error {
 // ----------------------------------------------------------------- peers
 
 // peer is one rank-to-rank connection: an unbounded outbound frame queue
-// drained by a writer goroutine (mirroring mpisim's nonblocking sends)
-// plus the buffered reader its readLoop consumes.
+// drained by a writer goroutine (so Post never blocks) plus the buffered
+// reader its readLoop consumes.
 type peer struct {
 	rank int
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []outFrame
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []outFrame
+	writing bool // the writer holds a dequeued frame it has not finished writing
+	closed  bool
 }
 
 type outFrame struct {
@@ -693,10 +645,11 @@ func (p *peer) enqueue(typ byte, body []byte) bool {
 func (p *peer) writeLoop() {
 	for {
 		p.mu.Lock()
+		p.writing = false
 		for len(p.queue) == 0 && !p.closed {
 			p.cond.Wait()
 		}
-		if len(p.queue) == 0 && p.closed {
+		if len(p.queue) == 0 { // closed and drained
 			p.mu.Unlock()
 			p.conn.Close()
 			return
@@ -707,7 +660,7 @@ func (p *peer) writeLoop() {
 		if len(p.queue) == 0 {
 			p.queue = nil
 		}
-		closed := p.closed
+		p.writing = true
 		p.mu.Unlock()
 		p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := writeFrame(p.bw, f.typ, f.body); err != nil {
@@ -715,17 +668,7 @@ func (p *peer) writeLoop() {
 			p.drain()
 			return
 		}
-		if closed && p.queueEmpty() {
-			p.conn.Close()
-			return
-		}
 	}
-}
-
-func (p *peer) queueEmpty() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue) == 0
 }
 
 // drain discards the remaining queue and marks the peer closed.
@@ -747,9 +690,12 @@ func (p *peer) close() {
 	}
 	p.closed = true
 	p.cond.Broadcast()
-	empty := len(p.queue) == 0
+	// An idle writer is mid-wait; closing here unblocks the reader
+	// immediately. A busy writer finishes its frame (the stats ack may be
+	// the one in flight) and closes once the queue is drained.
+	idle := len(p.queue) == 0 && !p.writing
 	p.mu.Unlock()
-	if empty {
-		p.conn.Close() // writer may be mid-wait; closing here unblocks the reader immediately
+	if idle {
+		p.conn.Close()
 	}
 }

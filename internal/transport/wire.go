@@ -1,21 +1,20 @@
-// Package transport is the TCP implementation of the comm.Comm/comm.Rank
-// surface: each rank is a real process, point-to-point messages and
-// collective deposits travel as length-prefixed binary frames with CRC64
-// trailers (the internal/snapshot codec discipline), and per-peer
-// connections carry unbounded nonblocking send queues that mirror
-// mpisim's progress-driven semantics — a send enqueues and returns, a
+// Package transport is the TCP backend of the comm rank engine: each rank
+// is a real process whose *comm.Rank posts and exchanges through this
+// package's Link. Point-to-point messages and collective deposits travel
+// as length-prefixed binary frames with CRC64 trailers (the
+// internal/snapshot codec discipline), and per-peer connections carry
+// unbounded nonblocking send queues — a send enqueues and returns, a
 // dedicated writer goroutine drains, so no send/receive ordering can
-// deadlock a run.
+// deadlock a run. Collectives run as a star through rank 0.
 //
-// Determinism: every data frame is stamped by the sender with the modeled
-// arrival time its virtual clock computed through the shared
-// comm.CostModel helpers — the same arithmetic mpisim runs. AnyRecv then
-// applies mpisim's exact delivery rule (wait until every candidate source
-// has a pending message; deliver the smallest stamp, sender rank breaking
-// ties), so a sampler run over real TCP produces byte-identical edge
-// sets, per-rank clocks, and traffic counters to the simulated run on the
-// same seed and partition. Wall time influences nothing but the measured
-// RunStats wall fields.
+// Determinism: every data frame carries the modeled arrival stamp the
+// sender's engine computed, and inbound frames are delivered into the
+// receiving engine's inbox in per-source sequence order. The engine's
+// AnyRecv rule then decides delivery exactly as it does in-process, so a
+// sampler run over real TCP produces byte-identical edge sets, per-rank
+// clocks, and traffic counters to the simulated run on the same seed and
+// partition. Wall time influences nothing but the measured RunStats wall
+// fields.
 //
 // Failure model: a dead peer surfaces as a connection error in that
 // peer's reader; the first failure aborts the local run (waking every

@@ -207,14 +207,6 @@ func FilterContext(ctx context.Context, g *Graph, opts FilterOptions) (*Result, 
 	})
 }
 
-// Filter applies a sampling filter to the network.
-//
-// Deprecated: use FilterContext, which can be cancelled mid-kernel. Filter
-// is FilterContext with context.Background().
-func Filter(g *Graph, opts FilterOptions) (*Result, error) {
-	return FilterContext(context.Background(), g, opts)
-}
-
 // NewBuilder returns a Builder for a graph with n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
@@ -240,36 +232,11 @@ func ClustersContext(ctx context.Context, g *Graph, p ClusterParams) ([]Cluster,
 	return mcode.FindClustersContext(ctx, g, p)
 }
 
-// Clusters runs MCODE with the paper's default parameters (score ≥ 3.0).
-//
-// Deprecated: use ClustersContext, which can be cancelled and takes
-// explicit parameters (pass the zero ClusterParams for these defaults).
-func Clusters(g *Graph) []Cluster {
-	return mcode.FindClusters(g, mcode.DefaultParams())
-}
-
-// ClustersWithParams runs MCODE with explicit parameters.
-//
-// Deprecated: use ClustersContext. Note the semantic difference for the
-// zero value: ClustersWithParams(g, ClusterParams{}) resolves per-field
-// kernel defaults with the haircut OFF, while ClustersContext treats the
-// zero value as the paper's full default set (haircut on).
-func ClustersWithParams(g *Graph, p mcode.Params) []Cluster {
-	return mcode.FindClusters(g, p)
-}
-
 // ScoreClustersContext annotates clusters against an ontology, producing
 // AEES scores (edge enrichment: DCP depth − term breadth, averaged over
 // cluster edges). ctx cancels the run between clusters with ctx.Err().
 func ScoreClustersContext(ctx context.Context, d *DAG, a *Annotations, g *Graph, clusters []Cluster) ([]ScoredCluster, error) {
 	return analysis.ScoreClustersContext(ctx, d, a, g, clusters)
-}
-
-// ScoreClusters annotates clusters against an ontology.
-//
-// Deprecated: use ScoreClustersContext, which can be cancelled.
-func ScoreClusters(d *DAG, a *Annotations, g *Graph, clusters []Cluster) []ScoredCluster {
-	return analysis.ScoreClusters(d, a, g, clusters)
 }
 
 // DefaultNetworkOptions returns the paper's correlation-network
@@ -285,14 +252,6 @@ func DefaultNetworkOptions() NetworkOptions { return expr.DefaultNetworkOptions(
 // sweep at tile claims with ctx.Err().
 func BuildCorrelationNetworkContext(ctx context.Context, m *Matrix, opts NetworkOptions) (*Graph, error) {
 	return expr.BuildNetworkContext(ctx, m, opts)
-}
-
-// BuildCorrelationNetwork builds the thresholded correlation network.
-//
-// Deprecated: use BuildCorrelationNetworkContext, which can be cancelled
-// mid-sweep.
-func BuildCorrelationNetwork(m *Matrix, opts NetworkOptions) *Graph {
-	return expr.BuildNetwork(m, opts)
 }
 
 // CorrelationThresholdSweep sizes the correlation network at each |ρ|
@@ -364,17 +323,6 @@ type PipelineResult struct {
 	Timings []StageTiming
 }
 
-// PipelineConfig parameterizes a reusable Pipeline.
-//
-// Deprecated: use New with functional options (WithCacheBytes,
-// WithWorkers, WithDatasets).
-type PipelineConfig struct {
-	// CacheBytes is the artifact-store budget (0: a 256 MiB default).
-	CacheBytes int64
-	// Workers bounds concurrently executing stage kernels (0: GOMAXPROCS).
-	Workers int
-}
-
 // Pipeline is the reusable, concurrency-safe form of the end-to-end run: a
 // typed stage-graph engine (internal/pipeline) whose artifact store
 // memoizes every stage under deterministic keys, deduplicates concurrent
@@ -423,13 +371,6 @@ func New(opts ...Option) *Pipeline {
 		}
 	}
 	return p
-}
-
-// NewPipeline creates a Pipeline.
-//
-// Deprecated: use New with WithCacheBytes and WithWorkers.
-func NewPipeline(cfg PipelineConfig) *Pipeline {
-	return New(WithCacheBytes(cfg.CacheBytes), WithWorkers(cfg.Workers))
 }
 
 // Stats returns the artifact-store counters (hits, misses, in-flight joins,

@@ -9,7 +9,6 @@ import (
 
 	"parsample/internal/expr"
 	"parsample/internal/graph"
-	"parsample/internal/mcode"
 	"parsample/internal/ontology"
 )
 
@@ -17,7 +16,7 @@ func TestFacadeFilterAndClusters(t *testing.T) {
 	pr := graph.PlantedModules(400, 300, graph.ModuleSpec{
 		Count: 5, MinSize: 6, MaxSize: 8, Density: 0.8, NoiseDeg: 0.5, Window: 3,
 	}, 11)
-	res, err := Filter(pr.G, FilterOptions{Algorithm: ChordalNoComm, Ordering: HighDegree, P: 4})
+	res, err := FilterContext(context.Background(), pr.G, FilterOptions{Algorithm: ChordalNoComm, Ordering: HighDegree, P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +24,10 @@ func TestFacadeFilterAndClusters(t *testing.T) {
 	if fg.M() == 0 || fg.M() > pr.G.M() {
 		t.Fatalf("filtered edges = %d of %d", fg.M(), pr.G.M())
 	}
-	clusters := Clusters(fg)
+	clusters, err := ClustersContext(context.Background(), fg, ClusterParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(clusters) == 0 {
 		t.Fatal("no clusters after filtering planted modules")
 	}
@@ -34,7 +36,7 @@ func TestFacadeFilterAndClusters(t *testing.T) {
 func TestFacadeSeedStreamsIndependent(t *testing.T) {
 	g := graph.Gnm(200, 800, 5)
 	run := func(seed int64) *Result {
-		res, err := Filter(g, FilterOptions{Algorithm: RandomWalkPar, Ordering: RandomOrder, P: 4, Seed: seed})
+		res, err := FilterContext(context.Background(), g, FilterOptions{Algorithm: RandomWalkPar, Ordering: RandomOrder, P: 4, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,19 +113,29 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := BuildCorrelationNetwork(syn.M, expr.DefaultNetworkOptions())
-	res, err := Filter(net, FilterOptions{Algorithm: ChordalSeq})
+	ctx := context.Background()
+	net, err := BuildCorrelationNetworkContext(ctx, syn.M, expr.DefaultNetworkOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := FilterContext(ctx, net, FilterOptions{Algorithm: ChordalSeq})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fg := res.Graph(net.N())
-	clusters := ClustersWithParams(fg, mcode.Params{MinScore: 3, MinSize: 4})
+	clusters, err := ClustersContext(ctx, fg, ClusterParams{MinScore: 3, MinSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(clusters) == 0 {
 		t.Fatal("pipeline found no clusters")
 	}
 	dag := ontology.Generate(ontology.GenerateSpec{Depth: 8, Branch: 3, Seed: 2})
 	ann := ontology.AnnotateModules(dag, 150, syn.Modules, 6, 3)
-	scored := ScoreClusters(dag, ann, fg, clusters)
+	scored, err := ScoreClustersContext(ctx, dag, ann, fg, clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
 	foundRelevant := false
 	for _, sc := range scored {
 		if sc.Score.AEES >= 3 {
@@ -185,7 +197,7 @@ func TestPipelineReuseSharesArtifacts(t *testing.T) {
 	pr := graph.PlantedModules(500, 900, graph.ModuleSpec{
 		Count: 8, MinSize: 6, MaxSize: 8, Density: 0.7, NoiseDeg: 0.5, Window: 3,
 	}, 21)
-	p := NewPipeline(PipelineConfig{})
+	p := New()
 	in := PipelineInput{
 		Name:   "planted",
 		Graph:  pr.G,
