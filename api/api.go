@@ -113,10 +113,10 @@ type CorrelationSpec struct {
 	MaxP *float64 `json:"maxP,omitempty"`
 	// Negative admits strong negative correlations as edges (default false).
 	Negative bool `json:"negative"`
-	// Precision is the sweep arithmetic: "float64" (default) or "float32".
-	// The float32 engine is faster and lighter but returns the exact same
-	// network — near-threshold pairs are re-decided in float64 — so this
-	// is a performance knob, never a results knob.
+	// Precision is accepted for v1 compatibility and selects nothing:
+	// "float64", "float32" or empty validate, and normalization pins it to
+	// "float64". The engine picks the sweep arena from the matrix's sample
+	// count itself, and both arenas give the same network.
 	Precision string `json:"precision,omitempty"`
 }
 

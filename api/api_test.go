@@ -101,6 +101,35 @@ func TestNormalizedPinsFluffThresholdWithoutFluff(t *testing.T) {
 	}
 }
 
+// Precision selects nothing, so every accepted value normalizes to the
+// same bytes as omitting it.
+func TestNormalizedPinsPrecision(t *testing.T) {
+	want, err := json.Marshal(mustNormalize(t, synthReq()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"float64", "float32"} {
+		r := synthReq()
+		r.Network.Correlation = &CorrelationSpec{Precision: p}
+		got, err := json.Marshal(mustNormalize(t, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("precision %q normalizes to %s, want %s", p, got, want)
+		}
+	}
+}
+
+func mustNormalize(t *testing.T, r *Request) *Request {
+	t.Helper()
+	n, err := r.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestValidateRejections(t *testing.T) {
 	zero := 0.0
 	en := true

@@ -1,5 +1,7 @@
 package api
 
+import "parsample/internal/expr"
+
 // Cost estimation: a pure function from a request's declared dimensions to
 // its predicted compute cost, in cost units. One unit ≈ one millisecond of
 // single-threaded kernel time on the BENCH_6.json reference machine — the
@@ -15,10 +17,11 @@ package api
 //	build_network/pearson/float32/4096x100  68.8 ms  /   same          ≈ 0.082 ns
 //
 // so the sweep coefficients below are 1.3e-7 units (float64) and 0.85e-7
-// units (float32) per pair·sample. The downstream chain (order → filter →
-// cluster → score) on thresholded correlation networks is a small multiple
-// of the vertex count; edge-list sources are dominated by parse plus
-// per-edge kernel work.
+// units (float32) per pair·sample; the engine's own arena rule
+// (expr.SweepArena) says which applies to a shape on this machine. The
+// downstream chain (order → filter → cluster → score) on thresholded
+// correlation networks is a small multiple of the vertex count; edge-list
+// sources are dominated by parse plus per-edge kernel work.
 
 // Sweep cost coefficients, units per correlated pair·sample.
 const (
@@ -59,10 +62,12 @@ type CostEstimate struct {
 
 // EstimateCost predicts the compute cost of one cold end-to-end run of r
 // from its declared dimensions. It is a pure function of the normalized
-// request (r is normalized internally when possible; an unnormalizable
-// request estimates from the raw fields). Cache residency is deliberately
-// outside the model — the serving layer discounts warm requests itself,
-// because residency is server state, not request content.
+// request and the machine's kernel ISA, which with the sample count
+// decides the sweep arena (r is normalized internally when possible; an
+// unnormalizable request estimates from the raw fields). Cache residency
+// is deliberately outside the model — the serving layer discounts warm
+// requests itself, because residency is server state, not request
+// content.
 func EstimateCost(r *Request) CostEstimate {
 	if n, err := r.Normalized(); err == nil {
 		r = n
@@ -74,7 +79,7 @@ func EstimateCost(r *Request) CostEstimate {
 		pairs := float64(s.Genes) * float64(s.Genes-1) / 2
 		samples := float64(s.Samples)
 		coef := costSweepF64
-		if cr := r.Network.Correlation; cr != nil && cr.Precision == "float32" {
+		if expr.SweepArena(s.Samples) == "float32" {
 			coef = costSweepF32
 		}
 		c.Source = float64(s.Genes) * samples * costSynthCell

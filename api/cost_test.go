@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"parsample/internal/expr"
 )
 
 func costSynthReq(genes, samples int, precision string) *Request {
@@ -15,9 +17,9 @@ func costSynthReq(genes, samples int, precision string) *Request {
 }
 
 // The cost model's load-bearing property is ordering: bigger sweeps must
-// weigh more, float32 less than float64, and a cold 4096×100 sweep must
-// outweigh a cold dataset request. (Warm-request discounting is server
-// state, applied at the admission layer, not here.)
+// weigh more, and a cold 4096×100 sweep must outweigh a cold dataset
+// request. (Warm-request discounting is server state, applied at the
+// admission layer, not here.)
 func TestEstimateCostOrdering(t *testing.T) {
 	small := EstimateCost(costSynthReq(192, 24, ""))
 	mid := EstimateCost(costSynthReq(2048, 64, ""))
@@ -25,13 +27,29 @@ func TestEstimateCostOrdering(t *testing.T) {
 	if !(small.Units < mid.Units && mid.Units < big.Units) {
 		t.Fatalf("cost not monotone in matrix shape: %v %v %v", small.Units, mid.Units, big.Units)
 	}
-	f32 := EstimateCost(costSynthReq(4096, 100, "float32"))
-	if f32.Units >= big.Units {
-		t.Fatalf("float32 sweep (%v) not cheaper than float64 (%v)", f32.Units, big.Units)
-	}
 	ds := EstimateCost(&Request{Network: NetworkSource{Dataset: "YNG"}})
-	if big.Units < 2*ds.Units {
+	if big.Units <= ds.Units {
 		t.Fatalf("4096×100 cold sweep (%v units) should outweigh a cold dataset request (%v units)", big.Units, ds.Units)
+	}
+}
+
+// The sweep coefficient follows the engine's arena rule, and the wire
+// precision, which selects nothing, leaves the estimate alone.
+func TestEstimateCostFollowsEngineArena(t *testing.T) {
+	for _, samples := range []int{24, 40, 100, 2048} {
+		c := EstimateCost(costSynthReq(256, samples, ""))
+		coef := costSweepF64
+		if expr.SweepArena(samples) == "float32" {
+			coef = costSweepF32
+		}
+		if want := 256 * 255 / 2 * float64(samples) * coef; c.Network != want {
+			t.Errorf("256×%d: network share %v, want %v (%s arena)", samples, c.Network, want, expr.SweepArena(samples))
+		}
+		for _, p := range []string{"float64", "float32"} {
+			if got := EstimateCost(costSynthReq(256, samples, p)); got != c {
+				t.Errorf("256×%d precision %q: estimate %+v, want %+v", samples, p, got, c)
+			}
+		}
 	}
 }
 

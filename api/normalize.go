@@ -50,9 +50,9 @@ func (r *Request) Normalized() (*Request, error) {
 		}
 		c.MinAbsR = fillFloat(c.MinAbsR, 0.95)
 		c.MaxP = fillFloat(c.MaxP, 0.0005)
-		if c.Precision == "" {
-			c.Precision = "float64"
-		}
+		// Precision selects nothing (the engine picks its arena); pinning
+		// it keeps requests that differ only there on one normalized form.
+		c.Precision = "float64"
 	}
 
 	// Filter defaults. "none" ignores ordering and P entirely, so they are

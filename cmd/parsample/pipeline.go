@@ -88,7 +88,7 @@ func pipelineMain(args []string) {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := parsample.RunPipeline(ctx, in)
+	res, err := parsample.New().Run(ctx, in)
 	if err != nil {
 		fatalf("pipeline: %v", err)
 	}

@@ -179,8 +179,8 @@ func (p *Pipeline) NetworkFromSource(ctx context.Context, src api.NetworkSource)
 // resolvedInput is a materialized network source: the data a pipeline.Input
 // carries, keyed by the request fingerprint. It is pure data — correlation
 // options are per-request run parameters (netOptionsFrom), NOT part of the
-// resolved source, so requests that differ only in thresholds or precision
-// share one entry (and one synthesized matrix) here.
+// resolved source, so requests that differ only in thresholds share one
+// entry (and one synthesized matrix) here.
 type resolvedInput struct {
 	name   string
 	g      *graph.Graph
@@ -201,11 +201,7 @@ func netOptionsFrom(norm *api.Request) expr.NetworkOptions {
 	if c.Statistic == "spearman" {
 		kind = expr.SpearmanCorr
 	}
-	prec := expr.Float64
-	if c.Precision == "float32" {
-		prec = expr.Float32
-	}
-	return expr.NetworkOptions{Kind: kind, MinAbsR: *c.MinAbsR, MaxP: *c.MaxP, Negative: c.Negative, Precision: prec}
+	return expr.NetworkOptions{Kind: kind, MinAbsR: *c.MinAbsR, MaxP: *c.MaxP, Negative: c.Negative}
 }
 
 // mcodeParamsFrom maps a normalized request's cluster spec onto MCODE

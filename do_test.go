@@ -155,69 +155,6 @@ func TestWithDatasetsRestriction(t *testing.T) {
 	}
 }
 
-// RunPipeline's shared engine: repeated one-shot runs over the same data
-// are warm hits with byte-identical outcomes, and the content fingerprint
-// keeps distinct data apart.
-func TestRunPipelineSharedEngine(t *testing.T) {
-	pr := graph.PlantedModules(400, 300, graph.ModuleSpec{
-		Count: 5, MinSize: 6, MaxSize: 8, Density: 0.8, NoiseDeg: 0.5, Window: 3,
-	}, 29)
-	in := PipelineInput{
-		Graph:  pr.G,
-		Filter: FilterOptions{Algorithm: ChordalNoComm, Ordering: HighDegree, P: 4, Seed: 9},
-	}
-	first, err := RunPipeline(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	misses := sharedPipeline().Stats().Misses
-	second, err := RunPipeline(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := sharedPipeline().Stats().Misses; after != misses {
-		t.Fatalf("repeated one-shot run recomputed %d artifacts", after-misses)
-	}
-	if len(first.Clusters) != len(second.Clusters) || first.Filtered.M() != second.Filtered.M() {
-		t.Fatal("repeated one-shot run returned different results")
-	}
-	for _, tm := range second.Timings {
-		if tm.Source != "hit" {
-			t.Fatalf("repeated run stage %s/%s came from %s, want hit", tm.Stage, tm.Variant, tm.Source)
-		}
-	}
-}
-
-// Reusing a caller-supplied Name across one-shot runs with different data
-// was safe under the old fresh-engine-per-call RunPipeline; the shared
-// engine keeps it safe by folding the Name into the content fingerprint.
-func TestRunPipelineNameReuseDoesNotCollide(t *testing.T) {
-	mk := func(seed int64) *Graph {
-		pr := graph.PlantedModules(300, 250, graph.ModuleSpec{
-			Count: 4, MinSize: 6, MaxSize: 8, Density: 0.8, NoiseDeg: 0.4, Window: 3,
-		}, seed)
-		return pr.G
-	}
-	run := func(g *Graph) *PipelineResult {
-		res, err := RunPipeline(context.Background(), PipelineInput{
-			Name:   "reused",
-			Graph:  g,
-			Filter: FilterOptions{Algorithm: ChordalSeq, Ordering: HighDegree, Seed: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(mk(31)), run(mk(32))
-	if a.Network.M() == b.Network.M() && a.Filtered.M() == b.Filtered.M() {
-		t.Fatal("suspicious: different inputs produced identical outputs (likely a name collision)")
-	}
-	if b.Filtered.M() == 0 || b.Filtered.M() > b.Network.M() {
-		t.Fatalf("second run filtered %d of %d edges", b.Filtered.M(), b.Network.M())
-	}
-}
-
 func TestDoRejectsOversizedSynthesis(t *testing.T) {
 	req := &api.Request{Network: api.NetworkSource{Synthesis: &api.SynthesisSpec{
 		Genes: 100_000_000, Samples: 100_000, Seed: 1,
@@ -226,26 +163,6 @@ func TestDoRejectsOversizedSynthesis(t *testing.T) {
 	var ae *api.Error
 	if !errors.As(err, &ae) || ae.Code != api.CodeBadRequest {
 		t.Fatalf("err = %v, want bad_request (dimension cap)", err)
-	}
-}
-
-// The content fingerprint: equal content (even from a different object)
-// maps to one name; any content change maps away.
-func TestFingerprintInput(t *testing.T) {
-	g1 := graph.Gnm(200, 800, 5)
-	g2 := graph.Gnm(200, 800, 5) // same generator, same content, new object
-	g3 := graph.Gnm(200, 800, 6)
-	f1 := fingerprintInput(&PipelineInput{Graph: g1})
-	if f2 := fingerprintInput(&PipelineInput{Graph: g2}); f2 != f1 {
-		t.Fatal("equal graph content fingerprinted apart")
-	}
-	if f3 := fingerprintInput(&PipelineInput{Graph: g3}); f3 == f1 {
-		t.Fatal("different graph content collided")
-	}
-	dag := ontology.Generate(ontology.GenerateSpec{Depth: 6, Branch: 2, Seed: 1})
-	withDAG := fingerprintInput(&PipelineInput{Graph: g1, DAG: dag})
-	if withDAG == f1 {
-		t.Fatal("ontology did not change the fingerprint")
 	}
 }
 

@@ -26,8 +26,7 @@ type SweepSpec struct {
 }
 
 // SweepSpec extracts o's admission rule with its default sentinels
-// resolved, for batching alongside other rules that share o's statistic
-// and precision.
+// resolved, for batching alongside other rules that share o's statistic.
 func (o NetworkOptions) SweepSpec() SweepSpec {
 	o = o.withDefaults()
 	return SweepSpec{MinAbsR: o.MinAbsR, MaxP: o.MaxP, Negative: o.Negative}
@@ -36,8 +35,8 @@ func (o NetworkOptions) SweepSpec() SweepSpec {
 // BatchCorrelatedPairsContext evaluates every spec in one sweep and
 // returns result[i] = the pairs admitted by specs[i], each sorted by
 // (U, V) exactly as CorrelatedPairs would return it. base supplies the
-// statistic, precision and worker count; its own threshold fields are
-// ignored in favor of the specs.
+// statistic and worker count; its own threshold fields are ignored in
+// favor of the specs.
 func BatchCorrelatedPairsContext(ctx context.Context, m *Matrix, base NetworkOptions, specs []SweepSpec) ([][]ScoredEdge, error) {
 	outs, err := batchScoredContext(ctx, m, base, specs)
 	if err != nil {

@@ -6,13 +6,16 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"parsample/internal/graph"
 )
 
 // diffMatrices builds the matrix zoo for the differential suites: a
 // modular synthetic (near-threshold coefficients on both signs), a small
 // dense-noise matrix (coefficients spread across [-1, 1], so loose
-// thresholds land many pairs near the cut), and a matrix with planted
-// degenerate rows (constant, i.e. zero variance).
+// thresholds land many pairs near the cut), a matrix with planted
+// degenerate rows (constant, i.e. zero variance), and a wide modular
+// matrix.
 func diffMatrices(t *testing.T) map[string]*Matrix {
 	t.Helper()
 	mats := make(map[string]*Matrix)
@@ -42,6 +45,13 @@ func diffMatrices(t *testing.T) map[string]*Matrix {
 	}
 	mats["degenerate"] = degen.M
 
+	// Wide enough for the engine to pick the float32 arena itself on AVX2.
+	wide, err := Synthesize(SyntheticSpec{Genes: 96, Samples: 72, Modules: 3, ModuleSize: 8, Noise: 0.6, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats["wide"] = wide.M
+
 	return mats
 }
 
@@ -60,24 +70,39 @@ func diffOptions() map[string]NetworkOptions {
 	}
 }
 
-// TestFloat32EdgeSetsByteIdenticalToFloat64 is the float32 engine's
+// widths lists both arena widths, for tests that force each one.
+var widths = []arenaWidth{arena64, arena32}
+
+// pairsIn is CorrelatedPairs in a forced arena width.
+func pairsIn(t *testing.T, m *Matrix, opts NetworkOptions, w arenaWidth) []ScoredEdge {
+	t.Helper()
+	outs, err := batchScoredArena(context.Background(), m, opts, []SweepSpec{opts.SweepSpec()}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortEdges(outs[0])
+	return outs[0]
+}
+
+// TestFloat32EdgeSetsByteIdenticalToFloat64 is the float32 arena's
 // contract: for every matrix, statistic, sign gate and threshold in the
-// zoo, and on every available kernel ISA, the Float32 engine returns the
-// exact []ScoredEdge of the Float64 engine — same pairs, same
-// coefficients, bit for bit. The recheck band makes this hold by
-// construction; this test is the empirical pin.
+// zoo, and on every available kernel ISA, a sweep forced onto the float32
+// arena returns the exact []ScoredEdge of one forced onto the float64
+// arena — same pairs, same coefficients, bit for bit — and so does the
+// engine's own pick. The recheck band makes this hold by construction;
+// this test is the empirical pin.
 func TestFloat32EdgeSetsByteIdenticalToFloat64(t *testing.T) {
 	mats := diffMatrices(t)
 	withKernelISA(t, func(t *testing.T) {
 		for mname, m := range mats {
 			for oname, opts := range diffOptions() {
 				opts.Workers = 3
-				opts.Precision = Float64
-				want := CorrelatedPairs(m, opts)
-				opts.Precision = Float32
-				got := CorrelatedPairs(m, opts)
-				if !reflect.DeepEqual(got, want) {
+				want := pairsIn(t, m, opts, arena64)
+				if got := pairsIn(t, m, opts, arena32); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s: float32 edge set diverges: %d edges vs %d", mname, oname, len(got), len(want))
+				}
+				if got := CorrelatedPairs(m, opts); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: engine's %s arena diverges: %d edges vs %d", mname, oname, sweepArena(m.Samples), len(got), len(want))
 				}
 			}
 		}
@@ -85,9 +110,9 @@ func TestFloat32EdgeSetsByteIdenticalToFloat64(t *testing.T) {
 }
 
 // TestBatchSweepMatchesIndependentSweeps is the batched-sweep property
-// test: one BatchCorrelatedPairsContext pass over k specs returns exactly
-// what k independent CorrelatedPairs runs return, per spec, in both
-// precisions and on every ISA.
+// test: one batched pass over k specs returns exactly what k independent
+// CorrelatedPairs runs return, per spec, in both arena widths and on
+// every ISA.
 func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 	mats := diffMatrices(t)
 	specsOpts := []NetworkOptions{
@@ -102,23 +127,23 @@ func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 		specs[i] = o.SweepSpec()
 	}
 	withKernelISA(t, func(t *testing.T) {
-		for _, prec := range []Precision{Float64, Float32} {
+		for _, w := range widths {
 			for mname, m := range mats {
-				base := NetworkOptions{Kind: PearsonCorr, Workers: 2, Precision: prec}
-				outs, err := BatchCorrelatedPairsContext(context.Background(), m, base, specs)
+				base := NetworkOptions{Kind: PearsonCorr, Workers: 2}
+				outs, err := batchScoredArena(context.Background(), m, base, specs, w)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(outs) != len(specs) {
-					t.Fatalf("%s/%s: got %d outputs for %d specs", mname, prec, len(outs), len(specs))
+					t.Fatalf("%s/%s: got %d outputs for %d specs", mname, w, len(outs), len(specs))
 				}
 				for i, o := range specsOpts {
+					sortEdges(outs[i])
 					o.Workers = 2
-					o.Precision = prec
 					want := CorrelatedPairs(m, o)
 					if !reflect.DeepEqual(outs[i], want) {
 						t.Errorf("%s/%s spec %d: batched sweep diverges from independent sweep (%d vs %d edges)",
-							mname, prec, i, len(outs[i]), len(want))
+							mname, w, i, len(outs[i]), len(want))
 					}
 				}
 			}
@@ -127,9 +152,11 @@ func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 }
 
 // TestBatchBuildNetworksMatchesBuildNetwork pins the graph-level form the
-// pipeline coalescer consumes.
+// pipeline coalescer consumes. The matrix is wide enough for the engine
+// to pick the float32 arena on AVX2; the reference is built from
+// float64-arena pairs.
 func TestBatchBuildNetworksMatchesBuildNetwork(t *testing.T) {
-	syn, err := Synthesize(SyntheticSpec{Genes: 200, Samples: 20, Modules: 3, ModuleSize: 12, Noise: 0.25, Seed: 3})
+	syn, err := Synthesize(SyntheticSpec{Genes: 200, Samples: float32MinSamples, Modules: 3, ModuleSize: 12, Noise: 0.25, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,16 +165,19 @@ func TestBatchBuildNetworksMatchesBuildNetwork(t *testing.T) {
 		{Kind: SpearmanCorr, MinAbsR: 0.7, MaxP: 0.05, Negative: true},
 	}
 	specs := []SweepSpec{specsOpts[0].SweepSpec(), specsOpts[1].SweepSpec()}
-	base := NetworkOptions{Kind: SpearmanCorr, Precision: Float32}
-	gs, err := BatchBuildNetworksContext(context.Background(), syn.M, base, specs)
+	gs, err := BatchBuildNetworksContext(context.Background(), syn.M, NetworkOptions{Kind: SpearmanCorr}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range specsOpts {
-		o.Precision = Float64
-		want := BuildNetwork(syn.M, o)
+		b := graph.NewBuilder(syn.M.Genes)
+		b.AddEdges(toEdges(pairsIn(t, syn.M, o, arena64)))
+		want := b.Build()
 		if !reflect.DeepEqual(gs[i], want) {
-			t.Errorf("spec %d: batched network differs from BuildNetwork (%d vs %d edges)", i, gs[i].M(), want.M())
+			t.Errorf("spec %d: batched network differs from the float64 build (%d vs %d edges)", i, gs[i].M(), want.M())
+		}
+		if got := BuildNetwork(syn.M, o); !reflect.DeepEqual(got, want) {
+			t.Errorf("spec %d: BuildNetwork differs from the float64 build (%d vs %d edges)", i, got.M(), want.M())
 		}
 	}
 }
@@ -168,7 +198,7 @@ func TestBatchSweepCancellation(t *testing.T) {
 }
 
 // TestCorrelatedPairsFloat32Deterministic mirrors the engine's Workers
-// determinism pin for the float32 path.
+// determinism pin for the float32 arena.
 func TestCorrelatedPairsFloat32Deterministic(t *testing.T) {
 	syn, err := Synthesize(SyntheticSpec{Genes: 300, Samples: 18, Modules: 3, ModuleSize: 15, Noise: 0.3, Seed: 13})
 	if err != nil {
@@ -176,8 +206,8 @@ func TestCorrelatedPairsFloat32Deterministic(t *testing.T) {
 	}
 	var ref []ScoredEdge
 	for i, workers := range []int{1, 2, 3, 7} {
-		opts := NetworkOptions{MinAbsR: 0.4, MaxP: 0.3, Workers: workers, Precision: Float32, Negative: true}
-		got := CorrelatedPairs(syn.M, opts)
+		opts := NetworkOptions{MinAbsR: 0.4, MaxP: 0.3, Workers: workers, Negative: true}
+		got := pairsIn(t, syn.M, opts, arena32)
 		if i == 0 {
 			ref = got
 			continue
@@ -191,17 +221,21 @@ func TestCorrelatedPairsFloat32Deterministic(t *testing.T) {
 	}
 }
 
-// TestPrecisionString covers the names used in api wiring and BENCH json.
-func TestPrecisionString(t *testing.T) {
-	for _, tc := range []struct {
-		p    Precision
-		want string
-	}{{Float64, "float64"}, {Float32, "float32"}} {
-		if got := tc.p.String(); got != tc.want {
-			t.Errorf("Precision(%d).String() = %q, want %q", tc.p, got, tc.want)
+// TestSweepArenaRule pins the engine's arena choice at the crossover on
+// each ISA and the names benchmark keys and the cost model read.
+func TestSweepArenaRule(t *testing.T) {
+	withKernelISA(t, func(t *testing.T) {
+		for _, samples := range []int{3, float32MinSamples - 1, float32MinSamples, 2048} {
+			want := "float64"
+			if useAVXKernels && samples >= float32MinSamples {
+				want = "float32"
+			}
+			if got := SweepArena(samples); got != want {
+				t.Errorf("SweepArena(%d) = %q, want %q", samples, got, want)
+			}
 		}
-	}
-	if got := fmt.Sprint(Float32); got != "float32" {
-		t.Errorf("fmt.Sprint(Float32) = %q", got)
+	})
+	if got := fmt.Sprint(arena32); got != "float32" {
+		t.Errorf("fmt.Sprint(arena32) = %q", got)
 	}
 }

@@ -42,8 +42,8 @@ import (
 //     rare survivors — plus ragged block tails — are decided by the
 //     canonical scalar dot over the float64 arena, so the admitted edge
 //     set and every reported coefficient are bit-identical whatever the
-//     kernel ISA or arena precision (Float32 halves bandwidth and doubles
-//     lanes, then rechecks through the same canonical kernel).
+//     kernel ISA or arena width (the float32 arena halves bandwidth and
+//     doubles lanes, then rechecks through the same canonical kernel).
 //
 // The engine applies the naive per-pair admission rule exactly (see
 // TestBuildNetworkMatchesReference); only the arithmetic order inside one
@@ -98,21 +98,28 @@ func scoredPairsContext(ctx context.Context, m *Matrix, opts NetworkOptions) ([]
 
 // batchScoredContext runs ONE standardize+sweep pass over m evaluating
 // every admission spec, returning unsorted admitted pairs per spec. base
-// supplies statistic, precision and workers; workers poll ctx at every
-// tile-pair claim (a claim is ~ms of dot products, so cancellation lands
-// promptly) and row standardization polls between rows. On cancellation
-// the partial result is discarded and ctx.Err() returned.
+// supplies statistic and workers; workers poll ctx at every tile-pair
+// claim (a claim is ~ms of dot products, so cancellation lands promptly)
+// and row standardization polls between rows. On cancellation the partial
+// result is discarded and ctx.Err() returned.
 func batchScoredContext(ctx context.Context, m *Matrix, base NetworkOptions, specs []SweepSpec) ([][]ScoredEdge, error) {
+	return batchScoredArena(ctx, m, base, specs, sweepArena(m.Samples))
+}
+
+// batchScoredArena is batchScoredContext in the given arena width. Only
+// the engine's rule (sweepArena) picks the width outside tests, which
+// force each width through here to pin that both give one edge set.
+func batchScoredArena(ctx context.Context, m *Matrix, base NetworkOptions, specs []SweepSpec, w arenaWidth) ([][]ScoredEdge, error) {
 	base = base.withDefaults()
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	ar := arenaFor(m.Genes, m.Samples, base.Precision)
+	ar := arenaFor(m.Genes, m.Samples, w)
 	defer ar.release()
 	if err := standardizeInto(ctx, ar.z64, m, base.Kind); err != nil {
 		return nil, err
 	}
-	if base.Precision == Float32 {
+	if w == arena32 {
 		// Chunked conversion with a poll every 256 rows: on the 32k-gene cap
 		// this loop touches 2²⁵ floats, long enough that a cancelled run
 		// must not have to sit through it (same cadence standardizeInto
@@ -139,8 +146,8 @@ func batchScoredContext(ctx context.Context, m *Matrix, base NetworkOptions, spe
 		samples: m.Samples,
 		z64:     ar.z64,
 		z32:     ar.z32,
-		prec:    base.Precision,
-		tile:    tileRows(m.Samples, base.Precision),
+		width:   w,
+		tile:    tileRows(m.Samples, w),
 		specs:   resolveSpecs(specs, m.Samples),
 	}
 	e.setCandidateBounds()
@@ -151,8 +158,8 @@ func batchScoredContext(ctx context.Context, m *Matrix, base NetworkOptions, spe
 type engine struct {
 	genes, samples int
 	z64            []float64 // genes×samples, zero-mean unit-norm rows (admission oracle)
-	z32            []float32 // same rows in float32 (Float32 precision only)
-	prec           Precision
+	z32            []float32 // same rows in float32 (arena32 only)
+	width          arenaWidth
 	tile           int // rows per tile
 	specs          []resolvedSpec
 	posCand        float64 // block r ≥ posCand makes a pair a candidate
@@ -186,14 +193,14 @@ func resolveSpecs(specs []SweepSpec, samples int) []resolvedSpec {
 
 // setCandidateBounds derives the block-kernel prefilter bounds: the lowest
 // admission threshold over all specs (positive side) and over the
-// negative-gated specs (negative side), each widened by the precision's
+// negative-gated specs (negative side), each widened by the arena's
 // recheck band so no admissible pair can be filtered out. When a widened
 // bound reaches zero the prefilter admits (almost) everything and would
 // only double the work, so the sweep falls back to the dense canonical
 // path — exactly the pre-blocking engine.
 func (e *engine) setCandidateBounds() {
 	band := recheckBand64(e.samples)
-	if e.prec == Float32 {
+	if e.width == arena32 {
 		band = recheckBand32(e.samples)
 	}
 	pos, neg := math.Inf(1), math.Inf(1)
@@ -270,17 +277,17 @@ func standardizedRows(ctx context.Context, m *Matrix, kind CorrelationKind) ([]f
 // tileRows picks the tile height so that one tile of standardized rows is
 // about 32 KiB — two tiles (the working set of a tile-pair block) then fit
 // comfortably in L1d+L2 and every row loaded for a block is reused against
-// the whole opposing tile. Float32 arenas take tiles twice as tall for the
+// the whole opposing tile. float32 arenas take tiles twice as tall for the
 // same byte budget; the height is kept a multiple of the block width so
 // only the final ragged tile pays scalar-tail pairs.
-func tileRows(samples int, prec Precision) int {
+func tileRows(samples int, w arenaWidth) int {
 	if samples <= 0 {
 		// Degenerate zero-width rows (every correlation is 0, matching the
 		// per-pair functions); any tile height works.
 		return 256
 	}
 	elem := 8
-	if prec == Float32 {
+	if w == arena32 {
 		elem = 4
 	}
 	const tileBytes = 32 << 10
@@ -429,7 +436,7 @@ func (c *collector) beginBlock(pairs int64) {
 // admit decides pair (g1, g2) with the canonical float64 dot kernel —
 // whatever block kernel nominated it — and appends it to every spec it
 // clears. This single admission point is what keeps edge sets and
-// coefficients bit-identical across precisions and ISAs.
+// coefficients bit-identical across arena widths and ISAs.
 func (c *collector) admit(g1, g2 int) {
 	e := c.e
 	s := e.samples
@@ -449,7 +456,7 @@ func (c *collector) admit(g1, g2 int) {
 }
 
 // sweepBlock computes all pairs between tile ti and tile tj (the triangle
-// above the diagonal when ti == tj), dispatching to the precision's block
+// above the diagonal when ti == tj), dispatching to the arena's block
 // kernel or the dense canonical path.
 func (e *engine) sweepBlock(ti, tj int, c *collector) {
 	lo1, hi1 := e.tileSpan(ti)
@@ -465,7 +472,7 @@ func (e *engine) sweepBlock(ti, tj int, c *collector) {
 	switch {
 	case e.dense:
 		e.sweepBlockDense(lo1, hi1, lo2, hi2, ti == tj, c)
-	case e.prec == Float32:
+	case e.width == arena32:
 		e.sweepBlockF32(lo1, hi1, lo2, hi2, ti == tj, c)
 	default:
 		e.sweepBlockF64(lo1, hi1, lo2, hi2, ti == tj, c)

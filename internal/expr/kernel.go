@@ -10,12 +10,12 @@ package expr
 // portable fallback below keeps the same 1×4 shape with two accumulators
 // per partner so the add-latency chains stay short.
 //
-// Block kernels are PREFILTERS, never deciders. Whatever ISA or precision
-// produced a block coefficient, a pair is admitted or rejected only by the
+// Block kernels are PREFILTERS, never deciders. Whatever ISA or arena
+// width produced a block coefficient, a pair is admitted or rejected only by the
 // canonical scalar dot (engine.go) over the float64 arena, and only pairs
 // whose block coefficient clears an admission threshold minus a sound
 // recheck band reach it. That architecture is what makes the edge set
-// byte-identical across Float64/Float32 and across machines with and
+// byte-identical across both arena widths and across machines with and
 // without AVX2 — the bands below bound the block-vs-canonical error, so
 // no admissible pair can be filtered out and no filtered pair can be
 // admissible. See DESIGN.md §7 for the bound derivations.
@@ -121,16 +121,22 @@ func recheckBand64(samples int) float64 {
 	return 1e-12 + float64(samples)*8*ulp64
 }
 
-// recheckBand32 bounds |float32-block r − canonical float64 r|: a
-// conversion term (each z32 element is within u32/2 of its z64 source, and
-// the rows are unit-norm, so the exact product sum moves by ≤ n·u32/2 in
-// the worst case but the norm renormalizes most of it away — we keep the
-// conservative n/2 factor) plus a float32 accumulation term covered by the
-// fixed 64·u32 pad for the sample widths the engine caps at (synthesis
-// caps samples at 2048; the two-accumulator and 8-lane orders keep the
-// effective chain length ≤ n/8 ≪ n/2 + 64 there). At n = 2048 the band is
-// ≈ 6.6e-5 — ~8× the worst observed deviation in the differential tests,
-// and still ~4 orders of magnitude below the paper's admission thresholds.
+// recheckBand32 bounds |float32-block r − canonical float64 r| for
+// unit-norm rows of any width n (Σ|aᵢbᵢ| ≤ 1 by Cauchy-Schwarz):
+//   - conversion: rounding each element to float32 moves it by at most
+//     u32·|z64ᵢ|, so the product sum moves by at most ≈ 2·u32;
+//   - accumulation: both kernels split the sum into independent float32
+//     chains (two per partner in the portable kernel, sixteen lanes on
+//     AVX2) of at most ⌈n/2⌉ products each, and the recursive-summation
+//     bound over all chains is (n/2)·u32·Σ|aᵢbᵢ| ≤ (n/2)·u32;
+//   - the 64·u32 pad covers the conversion term, the chain reduction, the
+//     AVX2 scalar tail (≤ 15 elements) and the canonical dot's own error
+//     (n·u64, far below (n/2)·u32).
+//
+// No term depends on a cap on n, so the band is sound for library
+// matrices of any width; TestRecheckBandSoundOnStandardizedRows checks it
+// out to 65536 samples. At n = 2048 the band is ≈ 6.6e-5, four orders of
+// magnitude below the paper's admission thresholds.
 func recheckBand32(samples int) float64 {
 	return ulp32 * (float64(samples)/2 + 64)
 }

@@ -22,9 +22,9 @@ import (
 // gate) — each has a distinct artifact key, so each would pay its own full
 // O(genes²·samples) sweep. The batcher closes that gap: the first such
 // request becomes the batch leader, holds the batch open for one batch
-// window so concurrent arrivals with the same (input, statistic,
-// precision) can register their specs, then runs ONE multi-spec sweep and
-// hands each waiter its own graph. The marginal cost per extra spec is a
+// window so concurrent arrivals with the same (input, statistic) can
+// register their specs, then runs ONE multi-spec sweep and hands each
+// waiter its own graph. The marginal cost per extra spec is a
 // threshold comparison per candidate pair (<1.3× a single sweep for
 // k = 4; bench_test.go), so the window trades ~milliseconds of added
 // latency for an ~k× reduction in kernel work under concurrent load.
@@ -33,9 +33,9 @@ import (
 //   - Only the leader acquires an engine worker slot, and only around the
 //     kernel — a follower waiting on a batch holds nothing, so a
 //     Workers=1 engine cannot deadlock against its own batch.
-//   - The batch is keyed by (Input.Name, statistic, precision): Name
-//     uniquely identifies the data (the Input contract), and mixed
-//     statistics or arena widths cannot share a sweep.
+//   - The batch is keyed by (Input.Name, statistic): Name uniquely
+//     identifies the data (the Input contract), and mixed statistics
+//     cannot share a sweep.
 //   - A cancelled leader delivers a retriable error; followers whose own
 //     context is still live re-enter and a new leader forms (the same
 //     semantics Store.Do gives waiters of a cancelled owner).
@@ -58,7 +58,6 @@ type sweepBatcher struct {
 type sweepKey struct {
 	name string
 	kind expr.CorrelationKind
-	prec expr.Precision
 }
 
 // sweepBatch is one open batch: the specs registered so far and their
@@ -106,7 +105,7 @@ func (b *sweepBatcher) build(ctx context.Context, e *Engine, in Input) (*graph.G
 		b.requests.Add(1)
 		return expr.BuildNetworkContext(ctx, in.Matrix, in.Net)
 	}
-	key := sweepKey{name: in.Name, kind: in.Net.Kind, prec: in.Net.Precision}
+	key := sweepKey{name: in.Name, kind: in.Net.Kind}
 	for {
 		ch := make(chan sweepResult, 1)
 		w := sweepWaiter{spec: in.Net.SweepSpec(), ch: ch}

@@ -143,16 +143,17 @@ func TestSweepBatcherFollowerSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
-// TestSweepBatcherKeySeparation: same data name but different statistic or
-// precision must not share a batch (they cannot share a kernel pass), yet
-// must still produce correct graphs.
+// TestSweepBatcherKeySeparation: same data name but different statistic
+// must not share a batch (they cannot share a kernel pass), while
+// requests differing only in thresholds share one; all must still
+// produce correct graphs.
 func TestSweepBatcherKeySeparation(t *testing.T) {
 	m := batcherMatrix(t)
 	e := New(Config{Workers: 2, BatchWindow: 200 * time.Millisecond})
 	opts := []expr.NetworkOptions{
 		{Kind: expr.PearsonCorr, MinAbsR: 0.5, MaxP: 0.05},
 		{Kind: expr.SpearmanCorr, MinAbsR: 0.5, MaxP: 0.05},
-		{Kind: expr.PearsonCorr, MinAbsR: 0.6, MaxP: 0.05, Precision: expr.Float32},
+		{Kind: expr.PearsonCorr, MinAbsR: 0.6, MaxP: 0.05},
 	}
 	got := make([]*graph.Graph, len(opts))
 	errs := make([]error, len(opts))
@@ -169,13 +170,12 @@ func TestSweepBatcherKeySeparation(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		o.Precision = expr.Float64 // direct build in float64: must match bit-for-bit
 		want := expr.BuildNetwork(m, o)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("request %d: network differs from direct build", i)
 		}
 	}
-	if st := e.Stats(); st.SweepBatches != 3 {
-		t.Errorf("SweepBatches = %d, want 3 (kind/precision cannot share a batch)", st.SweepBatches)
+	if st := e.Stats(); st.SweepBatches != 2 {
+		t.Errorf("SweepBatches = %d, want 2 (one per statistic)", st.SweepBatches)
 	}
 }

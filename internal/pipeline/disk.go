@@ -26,8 +26,7 @@ const diskNameVersion = 1
 // equal names across processes and replicas address interchangeable blobs —
 // provided the caller honored Input.Name's contract of uniquely identifying
 // the input data. Every api.Request path does by construction: Input.Name
-// is the request's content fingerprint (api.Request.Fingerprint), and
-// RunPipeline prefixes caller names with a data fingerprint.
+// is the request's content fingerprint (api.Request.Fingerprint).
 func diskName(key Key) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -59,7 +58,7 @@ func diskName(key Key) string {
 	wf(key.Net.MaxP)
 	wi(int64(key.Net.Workers)) // zeroed in keys; hashed for completeness
 	wb(key.Net.Negative)
-	wi(int64(key.Net.Precision)) // zeroed in keys; hashed for completeness
+	w(0) // the retired arena-precision word, kept so existing blob names stay valid
 	wf(key.MCODE.VertexWeightPercentage)
 	wb(key.MCODE.Haircut)
 	wf(key.MCODE.MinScore)

@@ -10,7 +10,10 @@ import (
 	"time"
 
 	"parsample/internal/diskstore"
+	"parsample/internal/expr"
 	"parsample/internal/faultinject"
+	"parsample/internal/graph"
+	"parsample/internal/sampling"
 )
 
 func newDiskEngine(t *testing.T, dir string) *Engine {
@@ -277,5 +280,30 @@ func TestStoreDiskLoadSingleflight(t *testing.T) {
 	}
 	if _, src, err := s2.Do(context.Background(), key, mustNotCompute); err != nil || src != Hit {
 		t.Fatalf("promoted artifact not resident: (%v, %v)", src, err)
+	}
+}
+
+// TestDiskNameGolden pins blob names for one network-stage and one
+// filter-stage key, so a change to Key or its encoding cannot silently
+// orphan existing cache directories. Changing these values needs a
+// diskNameVersion bump.
+func TestDiskNameGolden(t *testing.T) {
+	in := Input{
+		Name:       "golden",
+		Net:        expr.NetworkOptions{Kind: expr.SpearmanCorr, MinAbsR: 0.9, MaxP: 0.001, Negative: true, Workers: 3},
+		OrderSeed:  11,
+		FilterSeed: 13,
+	}
+	for _, tc := range []struct {
+		key  Key
+		want string
+	}{
+		{in.key(StageNetwork, Original), "4f36e736a68e865d8dcf5f52e1245d408be7f06a2b45841bfa197a1cb036909c"},
+		{in.key(StageFilter, Variant{Ordering: graph.HighDegree, Algorithm: sampling.ChordalNoComm, P: 4}),
+			"235751ba90506d4acb09a3251064ac25bf1c1669af9bfefba7cfead91ef66759"},
+	} {
+		if got := diskName(tc.key); got != tc.want {
+			t.Errorf("diskName(%v) = %s, want %s", tc.key.Stage, got, tc.want)
+		}
 	}
 }

@@ -116,10 +116,8 @@ type Key struct {
 	// OrderSeed and FilterSeed are the seeds of the ordering shuffle and the
 	// randomized samplers.
 	OrderSeed, FilterSeed int64
-	// Net is the normalized network construction config (Workers and
-	// Precision zeroed: results are worker- and precision-independent —
-	// the float32 engine rechecks admissions in float64, so both arena
-	// widths produce byte-identical artifacts under one key).
+	// Net is the normalized network construction config (Workers zeroed:
+	// results are worker-independent).
 	Net expr.NetworkOptions
 	// MCODE is the normalized clustering config.
 	MCODE mcode.Params
@@ -170,7 +168,6 @@ func FromDataset(ds *datasets.Dataset) Input {
 func (in Input) key(s Stage, v Variant) Key {
 	net := in.Net
 	net.Workers = 0
-	net.Precision = 0
 	m := in.MCODE
 	if m == (mcode.Params{}) {
 		m = mcode.DefaultParams()

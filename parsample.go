@@ -34,9 +34,9 @@
 //	g := b.Build() // sorted, deduplicated CSR
 //
 // End-to-end runs (matrix or network → filter → clusters → scores) go
-// through RunPipeline, or through a reusable Pipeline (New, with functional
-// options) whose memoizing artifact store serves many concurrent requests
-// (see the Pipeline type and DESIGN.md §5). A Pipeline also executes the
+// through a Pipeline (New, with functional options) whose memoizing
+// artifact store serves many concurrent requests (see the Pipeline type
+// and DESIGN.md §5). A Pipeline also executes the
 // versioned wire-form api.Request/api.Response pairs of the service API
 // (Pipeline.Do, DESIGN.md §6); cmd/parsampled serves that schema over
 // HTTP.
@@ -50,7 +50,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"parsample/internal/analysis"
@@ -96,10 +95,6 @@ type (
 	NetworkOptions = expr.NetworkOptions
 	// CorrelationKind selects Pearson or Spearman correlation.
 	CorrelationKind = expr.CorrelationKind
-	// Precision selects the correlation sweep's arena width (Float64 or
-	// Float32). A pure speed/memory knob: the float32 engine re-decides
-	// near-threshold pairs in float64, so the network is byte-identical.
-	Precision = expr.Precision
 	// SweepPoint is one row of a correlation-threshold sweep.
 	SweepPoint = expr.SweepPoint
 	// DAG is a GO-like ontology.
@@ -130,14 +125,6 @@ const (
 	// SpearmanCorr is Spearman rank correlation, robust to outliers and
 	// monotone nonlinearity.
 	SpearmanCorr = expr.SpearmanCorr
-)
-
-// Sweep-arena precisions for NetworkOptions.Precision.
-const (
-	// Float64 is the default double-precision sweep arena.
-	Float64 = expr.Float64
-	// Float32 halves arena bytes and doubles SIMD lanes; identical results.
-	Float32 = expr.Float32
 )
 
 // Sampling algorithms.
@@ -269,10 +256,7 @@ func CorrelationThresholdSweep(m *Matrix, thresholds []float64, opts NetworkOpti
 type PipelineInput struct {
 	// Name uniquely identifies the input data and namespaces its cached
 	// artifacts. Two runs against one Pipeline with the same Name are
-	// assumed to carry the same Graph/Matrix/DAG/Ann. Required for
-	// Pipeline.Run. RunPipeline ignores that contract: it always prefixes
-	// Name with a content fingerprint of the data, so one-shot runs on the
-	// process-shared engine can never collide however Name is (re)used.
+	// assumed to carry the same Graph/Matrix/DAG/Ann. Required.
 	Name string
 	// Graph is the input network. Leave nil to build it from Matrix.
 	Graph *Graph
@@ -444,46 +428,6 @@ func (p *Pipeline) Run(ctx context.Context, in PipelineInput) (*PipelineResult, 
 		})
 	}
 	return res, nil
-}
-
-// sharedPipeline is the lazily initialized engine behind RunPipeline.
-// One-shot runs used to allocate a fresh 256 MiB-budget engine per call;
-// sharing one process-wide engine means repeated one-shot runs over the
-// same data are warm hits and concurrent identical runs deduplicate. The
-// tradeoff: RunPipeline results can now be served from cache, so the
-// artifacts of a prior call (bounded by the 256 MiB LRU budget) stay
-// resident between calls — byte-identical to a fresh computation, because
-// every stage kernel is a pure function of its input data and seeds, with
-// inputs namespaced by content fingerprint so distinct data can never
-// collide. Callers that want an isolated or differently-budgeted store
-// hold their own New() pipeline.
-var sharedPipeline = sync.OnceValue(func() *Pipeline { return New() })
-
-// RunPipeline is the one-call end-to-end run:
-//
-//	res, err := parsample.RunPipeline(ctx, parsample.PipelineInput{
-//	        Matrix:  m,
-//	        Network: parsample.DefaultNetworkOptions(),
-//	        Filter:  parsample.FilterOptions{Algorithm: parsample.ChordalNoComm, Ordering: parsample.HighDegree, P: 8},
-//	})
-//
-// It executes on a lazily initialized, process-shared Pipeline, so
-// repeated and concurrent one-shot runs share the artifact store. The
-// cache namespace is always derived from a content fingerprint of the
-// input data (graph or matrix, plus ontology) — one hash pass over the
-// input per call, which is what makes the shared store collision-free: a
-// caller-supplied Name is folded into the fingerprint namespace rather
-// than trusted alone, so reusing a Name across calls with different data
-// (safe under the old fresh-engine-per-call behavior) can never serve the
-// wrong artifacts. Callers serving many requests should hold a Pipeline
-// from New and call Run or Do directly.
-func RunPipeline(ctx context.Context, in PipelineInput) (*PipelineResult, error) {
-	if fp := fingerprintInput(&in); in.Name == "" {
-		in.Name = fp
-	} else {
-		in.Name = fp + "/" + in.Name
-	}
-	return sharedPipeline().Run(ctx, in)
 }
 
 // ReadNetwork parses a whitespace edge list (one "u v" pair per line, '#'

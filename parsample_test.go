@@ -149,8 +149,9 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 
 // ------------------------------------------------------------- the pipeline
 
-// RunPipeline executes the end-to-end chain from a synthesized matrix:
-// correlation network, filter, clusters, scores, and stage timings.
+// A one-shot Pipeline run executes the end-to-end chain from a
+// synthesized matrix: correlation network, filter, clusters, scores, and
+// stage timings.
 func TestRunPipelineEndToEnd(t *testing.T) {
 	syn, err := expr.Synthesize(expr.SyntheticSpec{
 		Genes: 512, Samples: 48, Modules: 8, ModuleSize: 10, Noise: 0.1, Seed: 3,
@@ -160,7 +161,8 @@ func TestRunPipelineEndToEnd(t *testing.T) {
 	}
 	dag := ontology.Generate(ontology.GenerateSpec{Depth: 8, Branch: 3, Seed: 4})
 	ann := ontology.AnnotateModules(dag, 512, syn.Modules, 5, 5)
-	res, err := RunPipeline(context.Background(), PipelineInput{
+	res, err := New().Run(context.Background(), PipelineInput{
+		Name:    "synth-end-to-end",
 		Matrix:  syn.M,
 		Network: DefaultNetworkOptions(),
 		Filter:  FilterOptions{Algorithm: ChordalNoComm, Ordering: HighDegree, P: 4, Seed: 3},
@@ -242,9 +244,9 @@ func TestPipelineReuseSharesArtifacts(t *testing.T) {
 
 // Cancelling a pipeline run returns ctx.Err() promptly. The cancel delay
 // is scaled down from a measured uncancelled run and retried on a fresh
-// engine per attempt (RunPipeline now shares a process-wide store, which
-// would serve later attempts warm and outrun any cancel), so the test
-// cannot race the kernel on fast many-core machines.
+// engine per attempt (a shared store would serve later attempts warm and
+// outrun any cancel), so the test cannot race the kernel on fast
+// many-core machines.
 func TestPipelineCancellation(t *testing.T) {
 	syn, err := expr.Synthesize(expr.SyntheticSpec{
 		Genes: 4096, Samples: 100, Modules: 8, ModuleSize: 10, Noise: 0.1, Seed: 6,
